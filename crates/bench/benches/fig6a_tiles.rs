@@ -6,12 +6,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orbit2::inference::downscale_with;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 
 fn bench_tiles_scaling(c: &mut Criterion) {
     let ds = DownscalingDataset::new(LatLonGrid::conus(64, 128), VariableSet::daymet_like(), 4, 4, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 3);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let norm = Normalizer::fit(&ds, 2);
     let sample = ds.sample(0);
     let spec = TileSpec::square(16, 1);

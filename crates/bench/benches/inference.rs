@@ -14,7 +14,7 @@ use orbit2_autograd::Tape;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
 use orbit2_model::binder::Binder;
-use orbit2_model::{ModelConfig, ReslimModel, SessionPrecision};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_tensor::random::randn;
 use orbit2_tensor::Tensor;
 use rayon::prelude::*;
@@ -24,7 +24,7 @@ fn bench_forward(c: &mut Criterion) {
     group.sample_size(10);
     for (name, cfg) in [("tiny", ModelConfig::tiny()), ("small", ModelConfig::small())] {
         let model = ReslimModel::new(cfg.with_channels(7, 3), 1);
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         let input = randn(&[7, 16, 32], 42);
         group.bench_with_input(BenchmarkId::new("tape", name), &input, |b, input| {
             b.iter(|| {
@@ -40,7 +40,7 @@ fn bench_forward(c: &mut Criterion) {
         // at bf16/int8 (f32 activations and accumulate) — the per-forward
         // win of halved/quartered weight-stream bytes.
         for precision in [SessionPrecision::Bf16, SessionPrecision::Int8] {
-            let reduced = model.session_at(precision);
+            let reduced = model.session_with(precision, SessionActivation::F32);
             let label = format!("session_{}", precision.label());
             group.bench_with_input(BenchmarkId::new(label, name), &input, |b, input| {
                 b.iter(|| model.forward(&reduced, input, 1.0).0.into_tensor())
@@ -59,7 +59,7 @@ fn bench_tiled(c: &mut Criterion) {
     group.sample_size(10);
     for (name, cfg) in [("tiny", ModelConfig::tiny()), ("small", ModelConfig::small())] {
         let model = ReslimModel::new(cfg.with_channels(7, 3), 2);
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         group.bench_with_input(BenchmarkId::new("tape", name), &sample.input, |b, input| {
             // The pre-refactor tiled path: every tile worker builds its own
             // tape and binder per call.

@@ -7,15 +7,15 @@
 //! measures the architectures, not the autograd bookkeeping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use orbit2_model::{BaselineVit, ModelConfig, ReslimModel};
+use orbit2_model::{BaselineVit, ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_tensor::random::randn;
 
 fn bench_arch(c: &mut Criterion) {
     let cfg = ModelConfig::tiny().with_channels(7, 3);
     let reslim = ReslimModel::new(cfg, 1);
     let vit = BaselineVit::new(cfg, 1);
-    let reslim_sess = reslim.session();
-    let vit_sess = vit.session();
+    let reslim_sess = reslim.session_with(SessionPrecision::F32, SessionActivation::F32);
+    let vit_sess = vit.session_with(SessionPrecision::F32, SessionActivation::F32);
     let mut group = c.benchmark_group("table2a_arch");
     group.sample_size(10);
     for &(h, w) in &[(8usize, 16usize), (16, 32)] {

@@ -2,13 +2,13 @@
 //! compression ratios and tile counts, tape-free via inference sessions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_tensor::random::randn;
 
 fn bench_compression(c: &mut Criterion) {
     let cfg = ModelConfig::tiny().with_channels(7, 3);
     let model = ReslimModel::new(cfg, 1);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let input = randn(&[7, 32, 32], 9);
     let mut group = c.benchmark_group("table2b_compression");
     group.sample_size(10);
@@ -32,7 +32,7 @@ fn bench_tiling(c: &mut Criterion) {
         3,
     );
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let norm = Normalizer::fit(&ds, 2);
     let sample = ds.sample(0);
     let mut group = c.benchmark_group("table2b_tiling");

@@ -8,7 +8,7 @@
 use crate::fmt::{flops, sci, Table};
 use orbit2::planner::strong_scaling_series;
 use orbit2_cluster::topology::ClusterSpec;
-use orbit2_model::ModelConfig;
+use orbit2_model::{ModelConfig, SessionActivation, SessionPrecision};
 use orbit2_parallel::ReslimCostModel;
 use std::time::Instant;
 
@@ -40,7 +40,7 @@ pub fn measure_6a_threads(max_threads: usize) -> Vec<(usize, f64)> {
     use orbit2_imaging::tiles::TileSpec;
     let ds = crate::setup::us_dataset(4, 3);
     let model = crate::setup::tiny_model(3);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let norm = orbit2_climate::Normalizer::fit(&ds, 2);
     let sample = ds.sample(0);
     let spec = TileSpec::square(16, 1);

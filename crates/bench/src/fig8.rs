@@ -16,7 +16,7 @@ use orbit2_climate::Split;
 use orbit2_metrics::precip::log_precip_slice;
 use orbit2_metrics::regression::{r2_score, rmse};
 use orbit2_metrics::ssim::{psnr, ssim};
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 
 /// Metrics of the global generalization experiment.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +46,7 @@ pub fn run(steps: usize, samples: usize) -> Fig8Result {
     let mut preds = Vec::new();
     let mut obs = Vec::new();
     let mut truth = Vec::new();
-    let session = trainer.model.session();
+    let session = trainer.model.session_with(SessionPrecision::F32, SessionActivation::F32);
     for &i in &test_idx {
         let s = ds.sample(i);
         let pred =

@@ -12,7 +12,7 @@ use crate::fmt::{sci, Table};
 use orbit2::planner::arch_comparison;
 use orbit2_cluster::topology::ClusterSpec;
 use orbit2_model::profiler::SequenceAccounting;
-use orbit2_model::{BaselineVit, ModelConfig, ReslimModel};
+use orbit2_model::{BaselineVit, ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_parallel::ReslimCostModel;
 use orbit2_tensor::random::randn;
 use std::time::Instant;
@@ -61,8 +61,8 @@ pub fn measure_2a_kernels(h: usize, w: usize, reps: usize) -> (f64, f64, f64) {
     let reslim = ReslimModel::new(cfg, 1);
     let vit = BaselineVit::new(cfg, 1);
     // Sessions are prepared outside the timed region: pure forward cost.
-    let reslim_sess = reslim.session();
-    let vit_sess = vit.session();
+    let reslim_sess = reslim.session_with(SessionPrecision::F32, SessionActivation::F32);
+    let vit_sess = vit.session_with(SessionPrecision::F32, SessionActivation::F32);
     let input = randn(&[7, h, w], 42);
     let time = |f: &dyn Fn()| {
         // One warmup, then the mean of `reps`.

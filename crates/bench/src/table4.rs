@@ -9,6 +9,7 @@ use orbit2::eval::{evaluate_model, VariableReport};
 use orbit2::trainer::Trainer;
 use orbit2_climate::diagnostics::{climatology_errors, ClimatologyErrors};
 use orbit2_climate::{DownscalingDataset, Split};
+use orbit2_model::{SessionActivation, SessionPrecision};
 
 /// Outcome of the two training runs.
 pub struct Table4Result {
@@ -54,7 +55,7 @@ fn precip_climatology(trainer: &Trainer, ds: &DownscalingDataset, idx: &[usize])
     let plane = ds.fine_grid().h * ds.fine_grid().w;
     let mut preds = Vec::new();
     let mut truths = Vec::new();
-    let session = trainer.model.session();
+    let session = trainer.model.session_with(SessionPrecision::F32, SessionActivation::F32);
     for &i in idx {
         let s = ds.sample(i);
         let p = orbit2::inference::downscale_with(

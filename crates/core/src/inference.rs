@@ -8,7 +8,7 @@
 use crate::tiling::{split_stack, stitch_predictions};
 use orbit2_climate::Normalizer;
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
-use orbit2_model::{InferenceSession, ReslimModel};
+use orbit2_model::{InferenceSession, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_tensor::Tensor;
 use rayon::prelude::*;
 use std::fmt;
@@ -81,7 +81,7 @@ pub fn validate_input(model: &ReslimModel, input: &Tensor) -> Result<(), Inferen
 ///
 /// Prepares a fresh [`InferenceSession`] per call; when downscaling many
 /// samples with the same model, build the session once with
-/// [`ReslimModel::session`] and use [`downscale_with`].
+/// [`ReslimModel::session_with`] and use [`downscale_with`].
 pub fn downscale(
     model: &ReslimModel,
     normalizer: &Normalizer,
@@ -89,7 +89,7 @@ pub fn downscale(
     tile_spec: Option<TileSpec>,
     compression: f32,
 ) -> Result<Tensor, InferenceError> {
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     downscale_with(model, &session, normalizer, input, tile_spec, compression)
 }
 
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn session_reuse_matches_fresh_session() {
         let (model, norm, ds) = setup();
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         for i in 0..3 {
             let s = ds.sample(i);
             let fresh = downscale(&model, &norm, &s.input, None, 1.0).unwrap();

@@ -8,7 +8,7 @@ use orbit2::inference::downscale_with;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
 use orbit2_model::{
-    BaselineVit, InferenceSession, ModelConfig, ReslimModel, SessionActivation, SessionPrecision,
+    BaselineVit, ModelConfig, ReslimModel, SessionActivation, SessionPrecision,
 };
 use orbit2_tensor::Tensor;
 
@@ -39,7 +39,7 @@ fn reslim_bf16_activations_close_to_f32_whole_and_tiled() {
     let (model, norm, ds) = setup();
     let s = ds.sample(1);
     for weights in [SessionPrecision::F32, SessionPrecision::Bf16] {
-        let f32_sess = model.session_at(weights);
+        let f32_sess = model.session_with(weights, SessionActivation::F32);
         let bf16_sess = model.session_with(weights, SessionActivation::Bf16);
         for spec in [None, Some(TileSpec { tiles_y: 2, tiles_x: 2, halo: 2 })] {
             let base = downscale_with(&model, &f32_sess, &norm, &s.input, spec, 1.0).unwrap();
@@ -71,28 +71,11 @@ fn reslim_bf16_activations_deterministic() {
 fn baseline_bf16_activations_close_to_f32() {
     let model = BaselineVit::new(ModelConfig::tiny().with_channels(5, 3), 23);
     let input = orbit2_tensor::random::randn(&[5, 8, 16], 3);
-    let f32_sess = model.session();
+    let f32_sess = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let bf16_sess = model.session_with(SessionPrecision::F32, SessionActivation::Bf16);
     let base = model.forward(&f32_sess, &input).into_tensor();
     let red = model.forward(&bf16_sess, &input).into_tensor();
     assert_eq!(base.shape(), red.shape());
     let rel = rel_diff(&base, &red);
     assert!(rel < REL_TOL, "baseline bf16-act deviates {rel} relative");
-}
-
-#[test]
-fn f32_activation_session_is_bit_identical_to_default() {
-    // The activation knob at F32 must be a no-op: same bytes as the session
-    // prepared without it.
-    let (model, norm, ds) = setup();
-    let s = ds.sample(0);
-    let plain = model.session();
-    let explicit = InferenceSession::prepare_with(
-        &model.params,
-        SessionPrecision::F32,
-        SessionActivation::F32,
-    );
-    let a = downscale_with(&model, &plain, &norm, &s.input, None, 1.0).unwrap();
-    let b = downscale_with(&model, &explicit, &norm, &s.input, None, 1.0).unwrap();
-    assert_eq!(a.data(), b.data());
 }

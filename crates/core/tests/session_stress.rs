@@ -7,7 +7,7 @@
 use orbit2::inference::downscale_with;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_tensor::Tensor;
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use std::sync::Arc;
 fn concurrent_sessions_bitwise_match_serial() {
     let variables = VariableSet::daymet_like();
     let model = Arc::new(ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 11));
-    let session = Arc::new(model.session());
+    let session = Arc::new(model.session_with(SessionPrecision::F32, SessionActivation::F32));
 
     // Mixed workload: three coarse-grid shapes, with and without tiling,
     // at two compression targets.

@@ -12,7 +12,7 @@ use crate::blocks::{init_block_params, transformer_block};
 use crate::config::ModelConfig;
 use crate::embed::{sincos_positions, unpatchify_permutation};
 use crate::exec::Exec;
-use crate::infer::InferenceSession;
+use crate::infer::{InferenceSession, SessionActivation, SessionPrecision};
 use crate::paths::permute_elements;
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::conv::ConvGeom;
@@ -69,26 +69,15 @@ impl BaselineVit {
         (oh / self.cfg.patch) * (ow / self.cfg.patch)
     }
 
-    /// Prepare a tape-free inference context over this model's weights.
-    pub fn session(&self) -> InferenceSession {
-        InferenceSession::prepare(&self.params)
-    }
-
-    /// Like [`session`](Self::session), but with the weight set held at a
-    /// reduced storage precision (see [`InferenceSession::prepare_at`]).
-    pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
-        InferenceSession::prepare_at(&self.params, precision)
-    }
-
-    /// Like [`session_at`](Self::session_at), additionally choosing the
-    /// activation precision the session streams at (see
-    /// [`InferenceSession::prepare_with`]).
+    /// Prepare a tape-free inference context over this model's weights at
+    /// a weight and an activation precision (see
+    /// [`InferenceSession::prepare`]).
     pub fn session_with(
         &self,
-        precision: crate::infer::SessionPrecision,
-        activation: crate::infer::SessionActivation,
+        precision: SessionPrecision,
+        activation: SessionActivation,
     ) -> InferenceSession {
-        InferenceSession::prepare_with(&self.params, precision, activation)
+        InferenceSession::prepare(&self.params, precision, activation)
     }
 
     /// Forward pass on one `[C_in, h, w]` sample → `[C_out, H, W]`.
@@ -127,7 +116,7 @@ impl BaselineVit {
         z = ex.add(&z, &pos);
 
         for l in 0..cfg.layers {
-            z = transformer_block(ex, cfg, &format!("blk{l}"), &z);
+            z = transformer_block(ex, cfg, &format!("blk{l}"), &z, &[hp * wp]);
         }
 
         // Project back to image space per output variable.

@@ -38,6 +38,21 @@ pub fn self_attention<E: Exec>(
     prefix: &str,
     x: &E::Value,
 ) -> E::Value {
+    self_attention_rows(ex, cfg, prefix, x, &[ex.shape(x)[0]])
+}
+
+/// Multi-head self-attention over samples stacked along the row axis,
+/// `rows[i]` tokens for sample `i`. The Q/K/V/output projections run once
+/// over the whole stack; scores, softmax and the value product run per
+/// (head, sample), so no sample attends to another's tokens. With one
+/// sample no row slice or concat op runs.
+fn self_attention_rows<E: Exec>(
+    ex: &E,
+    cfg: &ModelConfig,
+    prefix: &str,
+    x: &E::Value,
+    rows: &[usize],
+) -> E::Value {
     let d = cfg.embed_dim;
     let dh = cfg.head_dim();
     // Q/K/V projections through the fused linear path (packed `x W^T`
@@ -46,16 +61,14 @@ pub fn self_attention<E: Exec>(
     let k = ex.linear(x, &ex.param(&format!("{prefix}.attn.wk")), None);
     let v = ex.linear(x, &ex.param(&format!("{prefix}.attn.wv")), None);
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut heads = Vec::with_capacity(cfg.heads);
-    for h in 0..cfg.heads {
-        let qh = ex.slice_axis(&q, 1, h * dh, dh);
-        let kh = ex.slice_axis(&k, 1, h * dh, dh);
-        let vh = ex.slice_axis(&v, 1, h * dh, dh);
-        // Q K^T straight from row-major storage via the nt kernel.
-        let scores = ex.scale(&ex.matmul_nt(&qh, &kh), scale);
-        let probs = ex.softmax_last(&scores);
-        heads.push(ex.matmul(&probs, &vh));
-    }
+    let heads: Vec<E::Value> = (0..cfg.heads)
+        .map(|h| {
+            let qh = ex.slice_axis(&q, 1, h * dh, dh);
+            let kh = ex.slice_axis(&k, 1, h * dh, dh);
+            let vh = ex.slice_axis(&v, 1, h * dh, dh);
+            attention_core(ex, &qh, &kh, &vh, rows, scale)
+        })
+        .collect();
     let concat = ex.concat(&heads, 1);
     debug_assert_eq!(ex.shape(&concat)[1], d);
     ex.linear(
@@ -63,6 +76,35 @@ pub fn self_attention<E: Exec>(
         &ex.param(&format!("{prefix}.attn.wo")),
         Some(&ex.param(&format!("{prefix}.attn.bo"))),
     )
+}
+
+/// `softmax(q k^T * scale) v` for one head, per sample of the row stack.
+fn attention_core<E: Exec>(
+    ex: &E,
+    q: &E::Value,
+    k: &E::Value,
+    v: &E::Value,
+    rows: &[usize],
+    scale: f32,
+) -> E::Value {
+    // Q K^T straight from row-major storage via the nt kernel.
+    let attend = |q: &E::Value, k: &E::Value, v: &E::Value| {
+        ex.matmul(&ex.softmax_last(&ex.scale(&ex.matmul_nt(q, k), scale)), v)
+    };
+    if rows.len() == 1 {
+        return attend(q, k, v);
+    }
+    let mut start = 0;
+    let parts: Vec<E::Value> = rows
+        .iter()
+        .map(|&r| {
+            let sample = |t: &E::Value| ex.slice_axis(t, 0, start, r);
+            let out = attend(&sample(q), &sample(k), &sample(v));
+            start += r;
+            out
+        })
+        .collect();
+    ex.concat(&parts, 0)
 }
 
 /// Two-layer GELU MLP. The first layer runs GEMM + bias + GELU as one
@@ -82,12 +124,16 @@ pub fn mlp<E: Exec>(ex: &E, prefix: &str, x: &E::Value) -> E::Value {
     )
 }
 
-/// Pre-norm transformer block: `x + Attn(LN(x))`, then `x + MLP(LN(x))`.
+/// Pre-norm transformer block: `x + Attn(LN(x))`, then `x + MLP(LN(x))`,
+/// over samples stacked along the row axis (`rows[i]` tokens each). The
+/// attention core runs per sample; everything else is row-wise and runs
+/// once over the stack.
 pub fn transformer_block<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
     prefix: &str,
     x: &E::Value,
+    rows: &[usize],
 ) -> E::Value {
     let n1 = ex.layer_norm(
         x,
@@ -95,7 +141,7 @@ pub fn transformer_block<E: Exec>(
         &ex.param(&format!("{prefix}.ln1.b")),
         1e-5,
     );
-    let x = ex.add(x, &self_attention(ex, cfg, prefix, &n1));
+    let x = ex.add(x, &self_attention_rows(ex, cfg, prefix, &n1, rows));
     let n2 = ex.layer_norm(
         &x,
         &ex.param(&format!("{prefix}.ln2.g")),
@@ -117,7 +163,9 @@ pub fn init_xattn_params(store: &mut ParamStore, cfg: &ModelConfig, seed: u64) {
 /// Cross-attention aggregation: per spatial token, attend from the
 /// variable-mean query over the `C` per-variable tokens and collapse them
 /// into one (paper: "aggregate multi-variable embeddings into a unified
-/// representation, effectively collapsing the variable dimension").
+/// representation, effectively collapsing the variable dimension"). Every
+/// op is row-wise (the "attention" is a per-token softmax over the `C`
+/// variables), so the tokens may stack any number of samples.
 pub fn cross_attention_aggregate<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
@@ -160,7 +208,7 @@ pub fn cross_attention_aggregate<E: Exec>(
 mod tests {
     use super::*;
     use crate::binder::Binder;
-    use crate::infer::InferenceSession;
+    use crate::infer::{InferenceSession, SessionActivation, SessionPrecision};
     use orbit2_autograd::{Tape, Var};
     use orbit2_tensor::random::randn;
 
@@ -178,7 +226,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[10, cfg.embed_dim], 1));
-        let y = transformer_block(&binder, &cfg, "blk0", &x);
+        let y = transformer_block(&binder, &cfg, "blk0", &x, &[10]);
         assert_eq!(y.shape(), vec![10, cfg.embed_dim]);
         assert!(y.value().all_finite());
     }
@@ -194,11 +242,13 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(input.clone());
-        let taped = transformer_block(&binder, &cfg, "blk0", &x).value();
+        let taped = transformer_block(&binder, &cfg, "blk0", &x, &[10]).value();
 
-        let session = InferenceSession::prepare(&store);
+        let session =
+
+            InferenceSession::prepare(&store, SessionPrecision::F32, SessionActivation::F32);
         let xs = Exec::constant(&session, input);
-        let free = transformer_block(&session, &cfg, "blk0", &xs).into_tensor();
+        let free = transformer_block(&session, &cfg, "blk0", &xs, &[10]).into_tensor();
 
         assert_eq!(taped.data(), free.data());
     }
@@ -210,7 +260,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[6, cfg.embed_dim], 2));
-        let y = transformer_block(&binder, &cfg, "blk0", &x);
+        let y = transformer_block(&binder, &cfg, "blk0", &x, &[6]);
         let loss = y.square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);

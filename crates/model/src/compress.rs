@@ -5,20 +5,21 @@
 //! regions can be merged. The *structure* decision is non-differentiable
 //! (computed on plain tensors, like the CPU-side quad-tree construction in
 //! the paper's Sec. III-C); the pooling/unpooling of token features runs
-//! through the execution context ([`Exec::pool_rows`] / [`Exec::unpool_rows`]),
-//! so it is differentiable when training and tape-free at inference.
+//! through the execution context ([`crate::Exec::pool_rows`] /
+//! [`crate::Exec::unpool_rows`]), so it is differentiable when training and
+//! tape-free at inference.
 
-use crate::exec::{Exec, RowGroups};
+use crate::exec::RowGroups;
 use orbit2_imaging::quadtree::{QuadTree, QuadTreeParams};
 use orbit2_tensor::Tensor;
+use std::sync::Arc;
 
 /// The compression decision for one sample: token groups per quad-tree leaf.
 #[derive(Debug, Clone)]
 pub struct CompressionPlan {
     /// For each kept (merged) token: the indices of the uniform-grid tokens
-    /// it pools. Shared (`Arc`) so every forward that replays the plan —
-    /// and the microbatcher that merges plans across samples — clones a
-    /// pointer, not the nested vectors.
+    /// it pools. Shared (`Arc`) so every forward that replays the plan
+    /// clones a pointer, not the nested vectors.
     pub groups: RowGroups,
     /// Token-grid height.
     pub hp: usize,
@@ -95,16 +96,22 @@ impl CompressionPlan {
         (self.hp * self.wp) as f32 / self.groups.len() as f32
     }
 
-    /// Compress token features `[N, D]` to `[M, D]` (differentiable on the
-    /// tape context).
-    pub fn compress<E: Exec>(&self, ex: &E, tokens: &E::Value) -> E::Value {
-        assert_eq!(ex.shape(tokens)[0], self.hp * self.wp, "token count mismatch");
-        ex.pool_rows(tokens, &self.groups)
-    }
-
-    /// Decompress `[M, D]` back to the full `[N, D]` grid.
-    pub fn decompress<E: Exec>(&self, ex: &E, compressed: &E::Value) -> E::Value {
-        ex.unpool_rows(compressed, &self.groups, self.hp * self.wp)
+    /// The token groups of several samples' plans over their tokens stacked
+    /// along the row axis: each sample's indices are offset by its row
+    /// position, so one [`crate::Exec::pool_rows`] / [`crate::Exec::unpool_rows`] call
+    /// compresses or restores the whole stack. One plan's groups are shared,
+    /// not copied.
+    pub fn stacked_groups(plans: &[CompressionPlan]) -> RowGroups {
+        if let [plan] = plans {
+            return Arc::clone(&plan.groups);
+        }
+        let mut groups = Vec::with_capacity(plans.iter().map(Self::compressed_len).sum());
+        let mut base = 0;
+        for plan in plans {
+            groups.extend(plan.groups.iter().map(|g| g.iter().map(|&t| t + base).collect()));
+            base += plan.hp * plan.wp;
+        }
+        groups.into()
     }
 }
 
@@ -120,8 +127,15 @@ pub fn token_saliency(tokens: &Tensor, hp: usize, wp: usize) -> Tensor {
 mod tests {
     use super::*;
     use crate::binder::Binder;
-    use orbit2_autograd::{ParamStore, Tape};
+    use crate::exec::Exec;
+    use orbit2_autograd::{ParamStore, Tape, Var};
     use orbit2_tensor::random::randn;
+
+    /// Compress then decompress one sample's tokens.
+    fn round_trip<'t>(binder: &Binder<'t, '_>, plan: &CompressionPlan, x: &Var<'t>) -> Var<'t> {
+        let n = plan.hp * plan.wp;
+        binder.unpool_rows(&binder.pool_rows(x, &plan.groups), &plan.groups, n)
+    }
 
     fn edge_image(hp: usize, wp: usize) -> Tensor {
         Tensor::from_vec(
@@ -139,7 +153,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[16, 8], 1));
-        let y = plan.decompress(&binder, &plan.compress(&binder, &x));
+        let y = round_trip(&binder, &plan, &x);
         y.value().assert_close(&x.value(), 1e-6);
     }
 
@@ -178,7 +192,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.constant(randn(&[256, 4], 3));
-        let rec = plan.decompress(&binder, &plan.compress(&binder, &x)).value();
+        let rec = round_trip(&binder, &plan, &x).value();
         // Within each group the reconstruction is the group's mean.
         let xv = x.value();
         for g in plan.groups.iter() {
@@ -204,10 +218,23 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &store);
         let x = tape.leaf(randn(&[64, 4], 5));
-        let loss = plan.decompress(&binder, &plan.compress(&binder, &x)).square().sum();
+        let loss = round_trip(&binder, &plan, &x).square().sum();
         let grads = tape.backward(loss);
         let g = grads.get(x).expect("gradient must reach tokens");
         assert!(g.data().iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn stacked_groups_offset_each_sample() {
+        let a = CompressionPlan::adaptive(&edge_image(4, 4), 2.0);
+        let b = CompressionPlan::identity(4, 4);
+        assert!(Arc::ptr_eq(&CompressionPlan::stacked_groups(std::slice::from_ref(&a)), &a.groups));
+        let merged = CompressionPlan::stacked_groups(&[a.clone(), b.clone()]);
+        assert_eq!(merged.len(), a.compressed_len() + b.compressed_len());
+        assert_eq!(&merged[..a.compressed_len()], &a.groups[..]);
+        for (m, g) in merged[a.compressed_len()..].iter().zip(b.groups.iter()) {
+            assert_eq!(m.iter().map(|&t| t - 16).collect::<Vec<_>>(), *g);
+        }
     }
 
     #[test]

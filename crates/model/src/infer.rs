@@ -198,26 +198,15 @@ pub struct InferenceSession {
 }
 
 impl InferenceSession {
-    /// Snapshot a parameter store for inference, packing every eligible
-    /// linear weight (2-d, enough output features for the packed
-    /// microkernel) exactly once. Biases, layer-norm gains and conv
-    /// kernels are held unpacked — no GEMM ever consumes them as `B`.
-    pub fn prepare(store: &ParamStore) -> Self {
-        Self::prepare_at(store, SessionPrecision::F32)
-    }
-
-    /// [`prepare`](Self::prepare) at a reduced weight precision, activations
-    /// staying f32.
-    pub fn prepare_at(store: &ParamStore, precision: SessionPrecision) -> Self {
-        Self::prepare_with(store, precision, SessionActivation::F32)
-    }
-
-    /// Snapshot a parameter store at a weight precision *and* an activation
-    /// precision.
+    /// Snapshot a parameter store for inference at a weight precision *and*
+    /// an activation precision, packing every eligible linear weight (2-d,
+    /// enough output features for the packed microkernel) exactly once.
+    /// Biases, layer-norm gains and conv kernels are held unpacked — no
+    /// GEMM ever consumes them as `B`.
     ///
     /// The resident tensor for every parameter is the *dequantized* value of
     /// whatever the packs hold, so eligible GEMMs (through the pack) and
-    /// every other path (fallback GEMM shapes, convs, layer norms, biases)
+    /// every other path (the scalar fallback, convs, layer norms, biases)
     /// see identical weight values:
     ///
     /// * `Bf16` rounds **every** parameter through [`Tensor::to_bf16`] —
@@ -232,7 +221,7 @@ impl InferenceSession {
     /// Parameters always enter ops at full resident precision regardless of
     /// `activation` (they are `F32` storage); the activation knob governs
     /// only the values flowing *between* ops.
-    pub fn prepare_with(
+    pub fn prepare(
         store: &ParamStore,
         precision: SessionPrecision,
         activation: SessionActivation,
@@ -405,9 +394,8 @@ impl Exec for InferenceSession {
     ) -> SessionValue {
         // BF16 activations against a resident reduced pack stream words on
         // both sides of the GEMM — no f32 copy of A or C ever exists. The
-        // eligibility gate is the same `packed_eligible` the f32 cached path
-        // uses, so per-sample and batched rows take the same branch exactly
-        // when the microbatcher's branch-stability check says they may stack.
+        // gate is the same weight-only `packed_eligible` the f32 cached path
+        // uses.
         if let Storage::Bf16(xa) = &x.storage {
             if xa.ndim() == 2 {
                 let (m, kx) = (xa.shape()[0], xa.shape()[1]);
@@ -415,7 +403,7 @@ impl Exec for InferenceSession {
                 let bd = bt.as_ref().map(|b| b.data());
                 match w.pack.as_deref() {
                     Some(PackedWeight::Bf16(pw))
-                        if kx == pw.k() && packed_eligible(m, kx, pw.n()) =>
+                        if kx == pw.k() && packed_eligible(pw.n()) =>
                     {
                         let mut out = vec![0u16; m * pw.n()];
                         qgemm::gemm_bf16_act_fused(xa.words(), m, kx, pw, bd, act, &mut out);
@@ -425,7 +413,7 @@ impl Exec for InferenceSession {
                         ));
                     }
                     Some(PackedWeight::I8(pw))
-                        if kx == pw.k() && packed_eligible(m, kx, pw.n()) =>
+                        if kx == pw.k() && packed_eligible(pw.n()) =>
                     {
                         let mut out = vec![0u16; m * pw.n()];
                         qgemm::gemm_i8_act_fused(xa.words(), m, kx, pw, bd, act, &mut out);
@@ -520,7 +508,8 @@ mod tests {
         store.insert("ln.g", Tensor::ones(vec![32])); // 1-d: never packed
         store.insert("conv.w", randn(&[8, 4, 3, 3], 2)); // 4-d: never packed
         store.insert("embed.res", randn(&[4, 32], 3)); // n < LANES: never packed
-        let session = InferenceSession::prepare(&store);
+        let session =
+            InferenceSession::prepare(&store, SessionPrecision::F32, SessionActivation::F32);
         let expected = if orbit2_tensor::simd::enabled() { 1 } else { 0 };
         assert_eq!(session.packed_weights(), expected);
         assert_eq!(session.activation(), SessionActivation::F32);
@@ -529,7 +518,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown parameter")]
     fn unknown_param_panics_like_store() {
-        let session = InferenceSession::prepare(&ParamStore::new());
+        let store = ParamStore::new();
+        let session =
+            InferenceSession::prepare(&store, SessionPrecision::F32, SessionActivation::F32);
         let _ = session.param("nope");
     }
 
@@ -539,7 +530,8 @@ mod tests {
         store.insert("mlp.w1", randn(&[64, 32], 1));
         store.insert("ln.g", randn(&[32], 2));
         store.insert("conv.w", randn(&[8, 4, 3, 3], 3));
-        let session = InferenceSession::prepare_at(&store, SessionPrecision::Bf16);
+        let session =
+            InferenceSession::prepare(&store, SessionPrecision::Bf16, SessionActivation::F32);
         assert_eq!(session.precision(), SessionPrecision::Bf16);
         for name in ["mlp.w1", "ln.g", "conv.w"] {
             let got = session.param(name);
@@ -557,7 +549,8 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("mlp.w1", randn(&[64, 32], 1));
         store.insert("bias", randn(&[64], 2));
-        let session = InferenceSession::prepare_at(&store, SessionPrecision::Int8);
+        let session =
+            InferenceSession::prepare(&store, SessionPrecision::Int8, SessionActivation::F32);
         let w = session.param("mlp.w1");
         let pw = PackedWeight::pack_at(store.get("mlp.w1"), WeightPrecision::Int8).unwrap();
         w.tensor().assert_close(&pw.dequantized().unwrap(), 0.0);
@@ -593,7 +586,7 @@ mod tests {
         store.insert("w", randn(&[32, 16], 1));
         store.insert("conv.w", randn(&[2, 3, 3, 3], 2));
         let session =
-            InferenceSession::prepare_with(&store, SessionPrecision::F32, SessionActivation::Bf16);
+            InferenceSession::prepare(&store, SessionPrecision::F32, SessionActivation::Bf16);
         assert_eq!(session.activation(), SessionActivation::Bf16);
 
         // Constants narrow on entry (that IS the activation quantization).
@@ -628,7 +621,8 @@ mod tests {
     #[test]
     fn f32_session_never_narrows() {
         let store = ParamStore::new();
-        let session = InferenceSession::prepare(&store);
+        let session =
+            InferenceSession::prepare(&store, SessionPrecision::F32, SessionActivation::F32);
         let c = session.constant(randn(&[4, 16], 5));
         assert!(!c.is_bf16());
         assert!(!session.add(&c, &c).is_bf16());
@@ -646,7 +640,7 @@ mod tests {
         store.insert("b", randn(&[48], 12));
         for wp in [SessionPrecision::Bf16, SessionPrecision::Int8] {
             let session =
-                InferenceSession::prepare_with(&store, wp, SessionActivation::Bf16);
+                InferenceSession::prepare(&store, wp, SessionActivation::Bf16);
             let x = session.constant(randn(&[9, 40], 13));
             assert!(x.is_bf16());
             let w = session.param("w");

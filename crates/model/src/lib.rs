@@ -5,9 +5,6 @@
 //! * [`config`] — model-size configurations, including the paper's four
 //!   (9.5M / 126M / 1B / 10B) used by the profiler and the scaled-down
 //!   trainable twins used for the CPU accuracy experiments;
-//! * [`batch`] — cross-request batched inference: one forward over a
-//!   row-stacked batch of same-shaped tiles, bit-identical to per-sample
-//!   forwards (the serving layer's microbatch kernel);
 //! * [`binder`] — binds a [`orbit2_autograd::ParamStore`] onto a tape,
 //!   memoizing leaf vars so each parameter gets exactly one gradient slot;
 //! * [`exec`] — the execution-context trait ([`exec::Exec`]) every forward
@@ -25,14 +22,16 @@
 //!   upsampling path;
 //! * [`loss`] — the Bayesian training objective: latitude-weighted MSE
 //!   likelihood + Markov-Random-Field total-variation prior;
-//! * [`reslim`] — the assembled Reslim model (paper Sec. III-A);
+//! * [`reslim`] — the assembled Reslim model (paper Sec. III-A) and its
+//!   single forward, [`forward_batch`]: one pass over a row-stacked batch
+//!   of same-shaped samples, bit-identical to forwarding each alone (the
+//!   serving layer's microbatch kernel and, at B=1, every other caller);
 //! * [`baseline`] — the upsample-first baseline ViT (paper Fig. 1), the
 //!   comparator of Table II(a);
 //! * [`profiler`] — analytic parameter/FLOP accounting (the stand-in for
 //!   the DeepSpeed profiler) feeding the cluster simulator.
 
 pub mod baseline;
-pub mod batch;
 pub mod binder;
 pub mod blocks;
 pub mod compress;
@@ -46,11 +45,10 @@ pub mod profiler;
 pub mod reslim;
 
 pub use baseline::BaselineVit;
-pub use batch::forward_batch;
 pub use binder::Binder;
 pub use config::ModelConfig;
 pub use exec::Exec;
 pub use infer::{InferenceSession, SessionActivation, SessionPrecision, SessionValue};
 pub use loss::{bayesian_loss, BayesianLossCfg};
 pub use profiler::ModelProfile;
-pub use reslim::ReslimModel;
+pub use reslim::{forward_batch, ReslimModel};

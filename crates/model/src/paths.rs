@@ -68,25 +68,29 @@ pub fn permute_elements<E: Exec>(
     ex.reshape(&ex.gather_rows(&flat, perm), out_shape)
 }
 
-/// Decode ViT tokens `[N, D]` on an `hp x wp` grid into a high-resolution
+/// Decoder projection: ViT tokens `[N, D]` to per-patch features
+/// `[N, p^2 * hidden]`. Row-wise, so `N` may stack any number of samples.
+pub fn decode_projection<E: Exec>(ex: &E, tokens: &E::Value) -> E::Value {
+    ex.linear(tokens, &ex.param("dec.proj.w"), Some(&ex.param("dec.proj.b")))
+}
+
+/// Decode one sample's projected tokens (see [`decode_projection`]) on an
+/// `hp x wp` grid into a high-resolution
 /// `[C_out, hp*p*factor, wp*p*factor]` image.
 pub fn decode<E: Exec>(
     ex: &E,
     cfg: &ModelConfig,
-    tokens: &E::Value,
+    projected: &E::Value,
     hp: usize,
     wp: usize,
 ) -> E::Value {
-    assert_eq!(ex.shape(tokens)[0], hp * wp, "token/grid mismatch");
+    assert_eq!(ex.shape(projected)[0], hp * wp, "token/grid mismatch");
     let p = cfg.patch;
-    // [N, D] -> [N, p^2 * hidden]
-    let projected =
-        ex.linear(tokens, &ex.param("dec.proj.w"), Some(&ex.param("dec.proj.b")));
-    // Rearrange to [hidden, h, w] at input resolution.
+    // Rearrange [N, p^2 * hidden] to [hidden, h, w] at input resolution.
     let (h, w) = (hp * p, wp * p);
     let hidden = path_hidden(cfg);
     let perm = unpatchify_permutation(hp, wp, p, hidden);
-    let img = permute_elements(ex, &projected, perm, vec![1, hidden, h, w]);
+    let img = permute_elements(ex, projected, perm, vec![1, hidden, h, w]);
     // Upsample to output resolution and refine with a 3x3 conv.
     let up = ex.resize_bilinear(&ex.gelu(&img), h * cfg.scale_factor, w * cfg.scale_factor);
     let out = ex.conv2d(
@@ -147,7 +151,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &s);
         let tokens = tape.constant(randn(&[4 * 6, cfg.embed_dim], 2));
-        let img = decode(&binder, &cfg, &tokens, 4, 6);
+        let img = decode(&binder, &cfg, &decode_projection(&binder, &tokens), 4, 6);
         // hp=4, wp=6, patch=2, factor=4: output 32 x 48.
         assert_eq!(img.shape(), vec![3, 32, 48]);
         assert!(img.value().all_finite());
@@ -206,7 +210,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape, &s);
         let tokens = tape.constant(randn(&[24, cfg.embed_dim], 7));
-        let loss = decode(&binder, &cfg, &tokens, 4, 6).square().sum();
+        let loss = decode(&binder, &cfg, &decode_projection(&binder, &tokens), 4, 6).square().sum();
         let grads = tape.backward(loss);
         let gm = binder.grad_map(&grads);
         assert!(gm["dec.proj.w"].data().iter().any(|&v| v != 0.0));

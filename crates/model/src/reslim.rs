@@ -6,14 +6,19 @@
 //! Residual path: lightweight convolutional upsampling of the raw input.
 //! The prediction is the sum of both paths; no input upsampling ever enters
 //! the ViT, which is the whole efficiency argument of the architecture.
+//!
+//! [`forward_batch`] is the single implementation of that forward, over a
+//! row-stacked batch of samples; [`ReslimModel::forward`] is its B=1 case.
 
 use crate::blocks::{cross_attention_aggregate, init_block_params, init_xattn_params, transformer_block};
 use crate::compress::{token_saliency, CompressionPlan};
 use crate::config::ModelConfig;
 use crate::embed::{init_embed_params, resolution_row, sincos_positions, tokenize};
 use crate::exec::Exec;
-use crate::infer::InferenceSession;
-use crate::paths::{decode, init_decoder_params, init_residual_params, residual_path};
+use crate::infer::{InferenceSession, SessionActivation, SessionPrecision};
+use crate::paths::{
+    decode, decode_projection, init_decoder_params, init_residual_params, residual_path,
+};
 use orbit2_autograd::ParamStore;
 use orbit2_tensor::Tensor;
 
@@ -44,31 +49,21 @@ impl ReslimModel {
         self.params.num_elements()
     }
 
-    /// Prepare a tape-free inference context over this model's weights:
-    /// weights snapshotted and linear packs built once, reusable across
-    /// samples and shareable across tile-worker threads.
-    pub fn session(&self) -> InferenceSession {
-        InferenceSession::prepare(&self.params)
-    }
-
-    /// Like [`session`](Self::session), but with the weight set held at a
-    /// reduced storage precision (see [`InferenceSession::prepare_at`]).
-    pub fn session_at(&self, precision: crate::infer::SessionPrecision) -> InferenceSession {
-        InferenceSession::prepare_at(&self.params, precision)
-    }
-
-    /// Like [`session_at`](Self::session_at), additionally choosing the
-    /// activation precision the session streams at (see
-    /// [`InferenceSession::prepare_with`]).
+    /// Prepare a tape-free inference context over this model's weights at
+    /// a weight and an activation precision (see
+    /// [`InferenceSession::prepare`]): weights snapshotted and linear packs
+    /// built once, reusable across samples and shareable across tile-worker
+    /// threads.
     pub fn session_with(
         &self,
-        precision: crate::infer::SessionPrecision,
-        activation: crate::infer::SessionActivation,
+        precision: SessionPrecision,
+        activation: SessionActivation,
     ) -> InferenceSession {
-        InferenceSession::prepare_with(&self.params, precision, activation)
+        InferenceSession::prepare(&self.params, precision, activation)
     }
 
-    /// Forward pass on one `[C_in, h, w]` sample.
+    /// Forward pass on one `[C_in, h, w]` sample: the one-sample case of
+    /// [`forward_batch`].
     ///
     /// Generic over the execution context: a [`crate::Binder`] records the
     /// pass on its tape for training; an [`InferenceSession`] runs the
@@ -82,46 +77,9 @@ impl ReslimModel {
         input: &Tensor,
         compression_target: f32,
     ) -> (E::Value, CompressionPlan) {
-        let cfg = &self.cfg;
-        assert_eq!(input.ndim(), 3);
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let (hp, wp) = (h / cfg.patch, w / cfg.patch);
-
-        // Main path, step 1: tokenize each variable.
-        let tokens = tokenize(ex, cfg, input);
-        // Step 2: collapse the variable axis via cross attention.
-        let mut agg = cross_attention_aggregate(ex, cfg, &tokens);
-        // Step 4 structure decision happens on the *content* features
-        // (before positional offsets, which would register as fake edges).
-        let plan = if compression_target > 1.0 {
-            let saliency = token_saliency(&ex.tensor(&agg), hp, wp);
-            CompressionPlan::adaptive(&saliency, compression_target)
-        } else {
-            CompressionPlan::identity(hp, wp)
-        };
-        // Step 3: positional + resolution embeddings.
-        let pos = ex.constant(sincos_positions(hp, wp, cfg.embed_dim));
-        let res_row = ex.slice_axis(
-            &ex.param("embed.res"),
-            0,
-            resolution_row(cfg.scale_factor),
-            1,
-        ); // [1, D] broadcast
-        agg = ex.add(&ex.add(&agg, &pos), &res_row);
-        let mut z = plan.compress(ex, &agg);
-
-        // Step 5: ViT blocks on the (compressed) sequence.
-        for l in 0..cfg.layers {
-            z = transformer_block(ex, cfg, &format!("blk{l}"), &z);
-        }
-
-        // Step 6: decompress and decode to the high-resolution image.
-        let full = plan.decompress(ex, &z);
-        let main = decode(ex, cfg, &full, hp, wp);
-
-        // Residual path on the raw input; prediction is the sum.
-        let residual = residual_path(ex, cfg, input);
-        (ex.add(&main, &residual), plan)
+        forward_batch(self, ex, &[input], compression_target)
+            .pop()
+            .expect("one output per input")
     }
 
     /// Effective ViT sequence length for an input of `h x w` pixels at the
@@ -130,6 +88,97 @@ impl ReslimModel {
         let n = (h / self.cfg.patch) * (w / self.cfg.patch);
         (n as f32 / compression.max(1.0)) as usize
     }
+}
+
+/// The Reslim forward over same-shaped `[C_in, h, w]` inputs; returns
+/// each sample's `[C_out, H, W]` prediction and compression plan.
+///
+/// This is the model's only forward ([`ReslimModel::forward`] is its B=1
+/// case). Samples are stacked along the token-row axis, and every
+/// row-wise stage runs once over the stack, so B samples share one GEMM
+/// per weight: the patch embedding, the cross-attention aggregation, the
+/// positional and resolution embeddings, the blocks' layer norms, Q/K/V/O
+/// projections and MLP, and the decoder projection. Stages that couple
+/// rows within a sample run per sample: the attention core (per sample
+/// and head), the compression plan, the decoder's image-space tail and the
+/// residual path. Pool and unpool run once over all samples' groups,
+/// offset into the stack.
+///
+/// Each sample's output is bit-identical to forwarding it alone: stacked
+/// ops compute each row from its own row, and the GEMM branch depends on
+/// the weight alone ([`orbit2_tensor::matmul::packed_eligible`]), never
+/// on the row count. With one input no stack, slice or concat op runs.
+pub fn forward_batch<E: Exec>(
+    model: &ReslimModel,
+    ex: &E,
+    inputs: &[&Tensor],
+    compression_target: f32,
+) -> Vec<(E::Value, CompressionPlan)> {
+    assert!(!inputs.is_empty(), "forward_batch of nothing");
+    let cfg = &model.cfg;
+    let shape = inputs[0].shape();
+    assert!(
+        inputs.iter().all(|t| t.shape() == shape),
+        "forward_batch requires same-shaped inputs"
+    );
+    assert_eq!(shape.len(), 3, "inputs must be [C, h, w]");
+    let (hp, wp) = (shape[1] / cfg.patch, shape[2] / cfg.patch);
+    let (b, n) = (inputs.len(), hp * wp);
+
+    // Main path, step 1: tokenize each variable.
+    let tokens = tokenize(ex, cfg, inputs);
+    // Step 2: collapse the variable axis via cross attention.
+    let mut agg = cross_attention_aggregate(ex, cfg, &tokens);
+    // Step 4 structure decision happens on the *content* features
+    // (before positional offsets, which would register as fake edges).
+    // The samples' saliency grids stack along y.
+    let plans: Vec<CompressionPlan> = if compression_target > 1.0 {
+        let saliency = token_saliency(&ex.tensor(&agg), b * hp, wp);
+        (0..b)
+            .map(|i| {
+                CompressionPlan::adaptive(&saliency.slice_axis(0, i * hp, hp), compression_target)
+            })
+            .collect()
+    } else {
+        vec![CompressionPlan::identity(hp, wp); b]
+    };
+    // Step 3: positional + resolution embeddings.
+    let pos = sincos_positions(hp, wp, cfg.embed_dim);
+    let pos = ex.constant(if b == 1 { pos } else { Tensor::concat(&vec![&pos; b], 0) });
+    let res_row = ex.slice_axis(
+        &ex.param("embed.res"),
+        0,
+        resolution_row(cfg.scale_factor),
+        1,
+    ); // [1, D] broadcast
+    agg = ex.add(&ex.add(&agg, &pos), &res_row);
+    let groups = CompressionPlan::stacked_groups(&plans);
+    let mut z = ex.pool_rows(&agg, &groups);
+
+    // Step 5: ViT blocks on the (compressed) sequences.
+    let rows: Vec<usize> = plans.iter().map(CompressionPlan::compressed_len).collect();
+    for l in 0..cfg.layers {
+        z = transformer_block(ex, cfg, &format!("blk{l}"), &z, &rows);
+    }
+
+    // Step 6: decompress and decode to the high-resolution images.
+    let projected = decode_projection(ex, &ex.unpool_rows(&z, &groups, b * n));
+    let projected = if b == 1 {
+        vec![projected]
+    } else {
+        (0..b).map(|i| ex.slice_axis(&projected, 0, i * n, n)).collect()
+    };
+    projected
+        .iter()
+        .zip(inputs)
+        .zip(plans)
+        .map(|((own, input), plan)| {
+            let main = decode(ex, cfg, own, hp, wp);
+            // Residual path on the raw input; prediction is the sum.
+            let residual = residual_path(ex, cfg, input);
+            (ex.add(&main, &residual), plan)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -213,6 +262,16 @@ mod tests {
         // Prediction minus residual (= ViT main output) has bounded scale.
         let vit_part = p.sub(&r);
         assert!(vit_part.data().iter().all(|v| v.abs() < 50.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "same-shaped")]
+    fn forward_batch_rejects_mixed_shapes() {
+        let m = model();
+        let tape = Tape::new();
+        let binder = Binder::new(&tape, &m.params);
+        let (a, b) = (randn(&[4, 8, 16], 1), randn(&[4, 8, 8], 2));
+        forward_batch(&m, &binder, &[&a, &b], 1.0);
     }
 
     #[test]

@@ -3,26 +3,30 @@
 //!
 //! Training amortizes weight preparation across an epoch; ad-hoc
 //! inference pays it per call. This crate closes the gap for serving:
-//! a [`Server`] owns one model and one prepared
-//! [`InferenceSession`](orbit2_model::InferenceSession) for its whole
-//! lifetime, and turns a stream of independent requests into batched
-//! work on the shared session:
+//! a [`Server`] owns one model and, for its whole lifetime, one prepared
+//! [`InferenceSession`](orbit2_model::InferenceSession) per weight ×
+//! activation precision cell (the default cell is prepared at startup,
+//! the others on first use). It turns a stream of independent requests
+//! into batched work on those shared sessions:
 //!
 //! - **Async submission** — [`Server::submit`] validates and enqueues,
 //!   returning a [`Handle`] the caller blocks on (or polls) at its
 //!   leisure; execution happens on the vendored rayon shim's persistent
 //!   worker registry via detached `rayon::spawn` jobs.
 //! - **Cross-request microbatching** — same-shaped tile jobs from
-//!   different in-flight requests are stacked along the row axis and run
-//!   as one forward (`orbit2_model::forward_batch`), which is
-//!   **bit-identical** to running them separately. A bounded microbatch
-//!   window trades a little latency for the stacking opportunity.
+//!   different in-flight requests, at the same compression and precision
+//!   cell, run as one call of the model's single forward
+//!   (`orbit2_model::forward_batch`, with the samples stacked along the
+//!   token-row axis), which is **bit-identical** to running them
+//!   separately. A lone job is the same call at B=1. A bounded
+//!   microbatch window trades a little latency for the stacking
+//!   opportunity.
 //! - **Fair tile scheduling** — batches are filled round-robin across
 //!   requests, so a many-tile request cannot starve a small one.
 //! - **LRU response cache** — region-sourced requests are deterministic,
 //!   so finished responses are cached by
-//!   `(region, time, variables, compression, scale)` with hit/miss
-//!   counters exposed through [`Server::cache_stats`].
+//!   `(region, time, variables, compression, scale, precision cell)`
+//!   with hit/miss counters exposed through [`Server::cache_stats`].
 //!
 //! - **Resilience** — requests carry optional deadlines checked at
 //!   admission, dispatch (expired queued tiles are shed before any

@@ -1,18 +1,19 @@
 //! The server core: admission, the tile-job queue, the microbatcher, and
 //! response assembly.
 //!
-//! One [`Server`] owns one model and one tape-free
-//! [`InferenceSession`](orbit2_model::InferenceSession) — weights and
-//! packed GEMM operands are prepared once and shared read-only by every
-//! worker that executes on its behalf. A submitted request is validated,
-//! resolved to a `[C, h, w]` input, normalized, and split into halo-padded
-//! tile jobs that land on a single submission queue. A dedicated batcher
-//! thread groups **same-shaped tile jobs across requests** into one
-//! stacked forward (`orbit2_model::forward_batch` — bit-identical to
-//! per-request execution), waiting at most a configurable microbatch
-//! window for the batch to fill. Batches are handed to the rayon shim's
-//! persistent worker registry via detached `rayon::spawn`, so grouping,
-//! execution, and request intake all overlap.
+//! One [`Server`] owns one model and a tape-free
+//! [`InferenceSession`](orbit2_model::InferenceSession) per precision
+//! cell — weights and packed GEMM operands are prepared once and shared
+//! read-only by every worker that executes on its behalf. A submitted
+//! request is validated, resolved to a `[C, h, w]` input, normalized, and
+//! split into halo-padded tile jobs that land on a single submission
+//! queue. A dedicated batcher thread groups **same-shaped tile jobs across
+//! requests** into one call of the model's single forward
+//! (`orbit2_model::forward_batch`, bit-identical to per-request
+//! execution; a lone job runs as B=1), waiting at most a configurable
+//! microbatch window for the batch to fill. Batches are handed to the
+//! rayon shim's persistent worker registry via detached `rayon::spawn`,
+//! so grouping, execution, and request intake all overlap.
 //!
 //! Fairness: when more same-shaped jobs are queued than fit one batch, the
 //! batcher picks tiles **round-robin across requests** instead of FIFO —
@@ -540,7 +541,11 @@ impl Inner {
                 (region.dataset.sample(*time).input, Some(key))
             }
             RequestSource::Raw { shape, data } => {
-                let elems: usize = shape.iter().product();
+                let elems = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)).ok_or_else(
+                    || ServeError::BadRequest {
+                        reason: format!("shape {shape:?} overflows the element count"),
+                    },
+                )?;
                 if elems != data.len() {
                     return Err(ServeError::BadRequest {
                         reason: format!(
@@ -764,24 +769,17 @@ fn panic_reason(panic: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic".into())
 }
 
-/// Run the (possibly batched) forward for `jobs`, returning one prediction
-/// per job. Stackable jobs share a `JobKey`, hence a single session cell.
+/// Run the forward for `jobs` (one or many), returning one prediction per
+/// job. Stackable jobs share a `JobKey`, hence a single session cell and
+/// compression target.
 fn run_forward(inner: &Inner, jobs: &[TileJob]) -> Vec<Tensor> {
-    if jobs.len() > 1 {
-        let session = inner.session_for(jobs[0].req.precision, jobs[0].req.activation);
-        let refs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
-        orbit2_model::forward_batch(&inner.model, session, &refs, jobs[0].req.compression)
-            .into_iter()
-            .map(|(pred, _)| pred)
-            .collect()
-    } else {
-        jobs.iter()
-            .map(|j| {
-                let session = inner.session_for(j.req.precision, j.req.activation);
-                inner.model.forward(session, &j.input, j.req.compression).0.into_tensor()
-            })
-            .collect()
-    }
+    let req = &jobs[0].req;
+    let session = inner.session_for(req.precision, req.activation);
+    let inputs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
+    orbit2_model::forward_batch(&inner.model, session, &inputs, req.compression)
+        .into_iter()
+        .map(|(pred, _)| pred.into_tensor())
+        .collect()
 }
 
 fn execute_batch(inner: &Inner, jobs: Vec<TileJob>) {

@@ -7,7 +7,7 @@ use orbit2::fault::{FaultKind, FaultPlan};
 use orbit2::inference::downscale_with;
 use orbit2::serving::{ServeError, ServeRequest};
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, VariableSet};
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_serve::{Region, Server, ServerConfig};
 use orbit2_tensor::Tensor;
 use std::time::{Duration, Instant};
@@ -147,7 +147,7 @@ fn quarantine_isolates_the_culprit_from_cobatched_innocents() {
         ..ServerConfig::default()
     };
     let (server, model, norm, ds) = start(cfg);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let inputs: Vec<Tensor> = (0..3).map(|i| ds.sample(i).input).collect();
     let handles: Vec<_> = inputs
         .iter()
@@ -197,7 +197,7 @@ fn transient_faults_recover_every_request_via_retry() {
         ..ServerConfig::default()
     };
     let (server, model, norm, ds) = start(cfg);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let inputs: Vec<Tensor> = (0..3).map(|i| ds.sample(i).input).collect();
     let handles: Vec<_> = inputs
         .iter()

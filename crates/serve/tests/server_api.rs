@@ -45,7 +45,7 @@ fn batched_serving_matches_downscale_with_bitwise() {
             ..ServerConfig::default()
         };
         let (server, model, norm, ds) = start(cfg);
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         let inputs: Vec<Tensor> = (0..4).map(|i| ds.sample(i).input).collect();
         let handles: Vec<_> = inputs
             .iter()
@@ -88,7 +88,7 @@ fn tiled_serving_matches_downscale_with() {
         ..ServerConfig::default()
     };
     let (server, model, norm, ds) = start(cfg);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let inputs: Vec<Tensor> = (0..2).map(|i| ds.sample(i).input).collect();
     let handles: Vec<_> = inputs
         .iter()
@@ -115,7 +115,7 @@ fn unbatched_mode_matches_direct_too() {
         ..ServerConfig::default()
     };
     let (server, model, norm, ds) = start(cfg);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let input = ds.sample(3).input;
     let resp = server
         .submit(ServeRequest::raw(1, input.shape().to_vec(), input.data().to_vec()))
@@ -150,7 +150,7 @@ fn cache_serves_repeat_region_requests() {
 #[test]
 fn variable_selection_slices_outputs() {
     let (server, model, norm, ds) = start(ServerConfig::default());
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let mut req = ServeRequest::region(1, "conus", 0);
     req.variables = Some(vec!["tmax".into()]);
     let resp = server.submit(req).wait().unwrap();
@@ -234,7 +234,7 @@ fn precision_requests_match_reduced_sessions_and_never_share_cache() {
     {
         let req = ServeRequest::region(1, "conus", 1).at_precision(precision);
         let resp = server.submit(req).wait().unwrap();
-        let session = model.session_at(precision);
+        let session = model.session_with(precision, SessionActivation::F32);
         let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
         assert_eq!(resp.data, reference.data(), "served {label} != direct {label} session");
         assert!(!resp.cached, "{label} must not hit another precision's cache entry");
@@ -270,7 +270,7 @@ fn server_default_precision_applies_to_unlabelled_requests() {
     let input = ds.sample(0).input;
 
     let default_resp = server.submit(ServeRequest::region(1, "conus", 0)).wait().unwrap();
-    let bf16 = model.session_at(SessionPrecision::Bf16);
+    let bf16 = model.session_with(SessionPrecision::Bf16, SessionActivation::F32);
     let reference = downscale_with(&model, &bf16, &norm, &input, None, 1.0).unwrap();
     assert_eq!(default_resp.data, reference.data(), "unlabelled request must use the bf16 default");
 
@@ -278,7 +278,7 @@ fn server_default_precision_applies_to_unlabelled_requests() {
         .submit(ServeRequest::region(2, "conus", 0).at_precision(SessionPrecision::F32))
         .wait()
         .unwrap();
-    let f32_session = model.session();
+    let f32_session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
     let f32_ref = downscale_with(&model, &f32_session, &norm, &input, None, 1.0).unwrap();
     assert_eq!(forced.data, f32_ref.data(), "explicit f32 must override the bf16 default");
     assert!(!forced.cached);
@@ -315,7 +315,7 @@ fn mixed_precision_bursts_do_not_cobatch() {
     .collect();
     for (precision, handle) in handles {
         let resp = handle.wait().unwrap();
-        let session = model.session_at(precision);
+        let session = model.session_with(precision, SessionActivation::F32);
         let reference = downscale_with(&model, &session, &norm, &input, None, 1.0).unwrap();
         assert_eq!(
             resp.data,

@@ -335,3 +335,53 @@ fn bad_precision_label_is_bad_request() {
         .unwrap();
     expect_error(client.recv().unwrap(), 61, "bad_request");
 }
+
+/// One hostile line over a raw connection whose reads time out instead of
+/// hanging: returns the reply to `line`, then the reply to a `health`
+/// probe sent after it. Each read takes exactly one line, so a missing or
+/// doubled reply to `line` surfaces as a timeout or a mis-parsed probe.
+fn hostile_line_then_health(
+    addr: std::net::SocketAddr,
+    line: &str,
+) -> (ServerReply, orbit2::serving::ServeHealth) {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read = || {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("the server answers every line");
+        reply
+    };
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let reply = ServerReply::parse(read().trim_end()).expect("reply parses");
+    stream.write_all(b"{\"cmd\":\"health\"}\n").unwrap();
+    let health = serde_json::from_str(read().trim_end()).expect("health reply parses");
+    (reply, health)
+}
+
+/// A raw shape whose element count overflows `usize` is refused with one
+/// typed bad_request at admission, and holds no inflight slot afterwards.
+#[test]
+fn overflowing_raw_shape_is_bad_request_and_leaks_no_permit() {
+    let (_server, addr) = spawn_server(ServerConfig::default());
+    let (reply, health) = hostile_line_then_health(
+        addr,
+        r#"{"id":7,"shape":[7,4294967296,4294967296],"data":[]}"#,
+    );
+    expect_error(reply, 7, "bad_request");
+    assert!(health.is_ok());
+    assert_eq!(health.inflight, 0, "the refused request must not hold a permit");
+}
+
+/// A line nested far past the parser's depth limit gets a bad_request
+/// reply instead of overflowing the connection thread's stack, and the
+/// server keeps answering.
+#[test]
+fn deeply_nested_line_is_bad_request_and_server_survives() {
+    let (_server, addr) = spawn_server(ServerConfig::default());
+    let (reply, health) = hostile_line_then_health(addr, &"[".repeat(20_000));
+    expect_error(reply, 0, "bad_request");
+    assert!(health.is_ok());
+    assert_eq!(health.inflight, 0);
+}

@@ -158,13 +158,10 @@ impl PackedWeightF32 {
     /// never help: SIMD disabled, not 2-d, or too few output features for
     /// the packed microkernel (`n < LANES`).
     pub fn pack(w: &Tensor) -> Option<Self> {
-        if !simd::enabled() || w.ndim() != 2 {
+        if w.ndim() != 2 || !packed_eligible(w.shape()[0]) {
             return None;
         }
         let (n, k) = (w.shape()[0], w.shape()[1]);
-        if n < LANES {
-            return None;
-        }
         let pack = pack_b_full(w.data(), MatLayout::transposed(k), k, n).into_vec();
         Some(PackedWeightF32 { pack, n, k })
     }
@@ -292,8 +289,8 @@ pub fn matmul_bias_act(
 /// **Reduced-precision contract:** when `packed` is a
 /// [`Bf16`](PackedWeight::Bf16) or [`I8`](PackedWeight::I8) pack, `w` must
 /// be the pack's [`dequantized`](PackedWeight::dequantized) tensor, so that
-/// shapes too small for the packed kernel (which fall back to the plain
-/// GEMM on `w`) compute with the same quantized values the kernel widens.
+/// the scalar fallback (SIMD disabled, which runs the plain GEMM on `w`)
+/// computes with the same quantized values the kernel widens.
 /// [`InferenceSession`-style callers](PackedWeight) snapshot weights that
 /// way at prepare time.
 pub fn matmul_bias_act_cached(
@@ -334,11 +331,11 @@ fn matmul_bias_act_impl(
 
     // Resident reduced-precision packs take the quantized kernel wholesale:
     // it applies scale/bias/activation at store time, so the generic
-    // epilogue below never runs. Ineligible shapes (or a caller that needs
-    // the pre-activation) fall through to the generic path, where `w` — the
+    // epilogue below never runs. The scalar fallback (or a caller that needs
+    // the pre-activation) falls through to the generic path, where `w` — the
     // dequantized weights by the caller contract of
     // [`matmul_bias_act_cached`] — keeps the values consistent.
-    if !pre_needed && packed_eligible(m, k, n) {
+    if !pre_needed && packed_eligible(n) {
         match resident {
             Some(PackedWeight::Bf16(pw)) => {
                 let mut out = pool::alloc_uninit(m * n);
@@ -365,8 +362,8 @@ fn matmul_bias_act_impl(
     // re-pack all of B (`m / ROW_BLOCK` redundant packs). A resident pack
     // from a `PackedWeight` skips even that single per-call pack; the
     // eligibility test is the same either way, so both routes take the
-    // identical GEMM branch for any given shape.
-    let packed = packed_eligible(m, k, n);
+    // identical GEMM branch for any given weight.
+    let packed = packed_eligible(n);
     let owned = (packed && resident_f32.is_none())
         .then(|| pack_b_full(wd, MatLayout::transposed(k), k, n));
     let bpack: Option<&[f32]> = if packed {
@@ -613,8 +610,8 @@ mod tests {
 
     #[test]
     fn cached_pack_bitwise_matches_per_call_pack() {
-        // Shapes straddling the packed-eligibility boundary: tiny (unpacked
-        // either way), medium and large (packed when SIMD is on).
+        // Shapes on both sides of the packed-eligibility gate: `n < LANES`
+        // (unpacked either way) and wider (packed when SIMD is on).
         for &(m, k, n) in &[(2usize, 3usize, 4usize), (8, 16, 12), (72, 64, 48), (73, 33, 17)] {
             let x = randn(&[m, k], 41);
             let w = randn(&[n, k], 42);
@@ -632,35 +629,26 @@ mod tests {
 
     #[test]
     fn row_stacking_is_bitwise_invariant() {
-        // The microbatching contract: every kernel a batched forward runs
-        // over row-stacked inputs must compute each output row from its
-        // input row alone, so stacking two activations and running ONE
-        // kernel call equals the two separate calls, bit for bit. Rows per
-        // part deliberately straddle MR-panel and ROW_BLOCK boundaries.
+        // The batched-forward contract: every kernel the forward runs over
+        // row-stacked inputs must compute each output row from its input
+        // row alone, so stacking two activations and running ONE kernel
+        // call equals the two separate calls, bit for bit, for every row
+        // split. Rows per part straddle MR-panel and ROW_BLOCK boundaries.
         let (k, n) = (48usize, 32usize);
         let w = randn(&[n, k], 71);
         let b = randn(&[n], 72);
         let packed = PackedWeight::pack(&w);
-        for &(ra, rb) in &[(2usize, 3usize), (5, 9), (7, 70), (64, 128), (73, 7)] {
+        for &(ra, rb) in &[(1usize, 1usize), (2, 3), (5, 9), (7, 70), (64, 128), (73, 7)] {
             let xa = randn(&[ra, k], 73);
             let xb = randn(&[rb, k], 74);
-            let stacked = Tensor::stack_rows(&[&xa, &xb]);
-            // Fused linear (the batched GEMM itself) — only when every part
-            // takes the same kernel branch as the stack, which is the
-            // precondition the microbatcher enforces before stacking.
-            let branch_stable = crate::matmul::packed_eligible(ra, k, n)
-                == crate::matmul::packed_eligible(ra + rb, k, n)
-                && crate::matmul::packed_eligible(rb, k, n)
-                    == crate::matmul::packed_eligible(ra + rb, k, n);
-            if branch_stable {
-                for act in [Activation::Identity, Activation::Gelu] {
-                    let ya = matmul_bias_act_cached(&xa, &w, packed.as_ref(), Some(&b), act);
-                    let yb = matmul_bias_act_cached(&xb, &w, packed.as_ref(), Some(&b), act);
-                    let ys = matmul_bias_act_cached(&stacked, &w, packed.as_ref(), Some(&b), act);
-                    let parts = ys.split_rows(&[ra, rb]);
-                    assert_eq!(parts[0].data(), ya.data(), "linear rows ({ra},{rb}) {act:?}");
-                    assert_eq!(parts[1].data(), yb.data(), "linear rows ({ra},{rb}) {act:?}");
-                }
+            let stacked = Tensor::concat(&[&xa, &xb], 0);
+            // Fused linear (the batched GEMM itself).
+            for act in [Activation::Identity, Activation::Gelu] {
+                let ya = matmul_bias_act_cached(&xa, &w, packed.as_ref(), Some(&b), act);
+                let yb = matmul_bias_act_cached(&xb, &w, packed.as_ref(), Some(&b), act);
+                let ys = matmul_bias_act_cached(&stacked, &w, packed.as_ref(), Some(&b), act);
+                assert_eq!(&ys.data()[..ra * n], ya.data(), "linear rows ({ra},{rb}) {act:?}");
+                assert_eq!(&ys.data()[ra * n..], yb.data(), "linear rows ({ra},{rb}) {act:?}");
             }
             // Layer norm.
             let (na, _) = layer_norm_rows(xa.data(), ra, k, 1e-5);
@@ -684,9 +672,9 @@ mod tests {
     fn quantized_cached_path_matches_dequantized_reference() {
         // A reduced-precision pack plus its dequantized tensor must compute
         // the same function as the plain fused linear on that dequantized
-        // tensor, within kernel reordering tolerance — and for shapes below
-        // the packed-eligibility gate the fallback runs on `w` itself, so
-        // the values agree exactly by construction.
+        // tensor, within kernel reordering tolerance — and with SIMD off
+        // the fallback runs on `w` itself, so the values agree exactly by
+        // construction.
         for &(m, k, n) in &[(2usize, 3usize, 16usize), (9, 40, 48), (72, 64, 64)] {
             let x = randn(&[m, k], 51);
             let w = randn(&[n, k], 52);
@@ -706,7 +694,7 @@ mod tests {
 
     #[test]
     fn quantized_row_stacking_is_bitwise_invariant() {
-        // The microbatching contract must hold for reduced-precision packs
+        // The batched-forward contract holds for reduced-precision packs
         // too: each output row depends on its input row alone.
         let (k, n) = (48usize, 64usize);
         let w = randn(&[n, k], 81);
@@ -714,24 +702,16 @@ mod tests {
         for prec in [WeightPrecision::Bf16, WeightPrecision::Int8] {
             let packed = PackedWeight::pack_at(&w, prec).unwrap();
             let dq = packed.dequantized().unwrap();
-            for &(ra, rb) in &[(5usize, 9usize), (7, 70), (64, 128)] {
+            for &(ra, rb) in &[(1usize, 1usize), (2, 3), (5, 9), (7, 70), (64, 128)] {
                 let xa = randn(&[ra, k], 83);
                 let xb = randn(&[rb, k], 84);
-                let stacked = Tensor::stack_rows(&[&xa, &xb]);
-                let branch_stable = crate::matmul::packed_eligible(ra, k, n)
-                    == crate::matmul::packed_eligible(ra + rb, k, n)
-                    && crate::matmul::packed_eligible(rb, k, n)
-                        == crate::matmul::packed_eligible(ra + rb, k, n);
-                if !branch_stable {
-                    continue;
-                }
+                let stacked = Tensor::concat(&[&xa, &xb], 0);
                 let ya = matmul_bias_act_cached(&xa, &dq, Some(&packed), Some(&b), Activation::Gelu);
                 let yb = matmul_bias_act_cached(&xb, &dq, Some(&packed), Some(&b), Activation::Gelu);
                 let ys =
                     matmul_bias_act_cached(&stacked, &dq, Some(&packed), Some(&b), Activation::Gelu);
-                let parts = ys.split_rows(&[ra, rb]);
-                assert_eq!(parts[0].data(), ya.data(), "{prec:?} rows ({ra},{rb})");
-                assert_eq!(parts[1].data(), yb.data(), "{prec:?} rows ({ra},{rb})");
+                assert_eq!(&ys.data()[..ra * n], ya.data(), "{prec:?} rows ({ra},{rb})");
+                assert_eq!(&ys.data()[ra * n..], yb.data(), "{prec:?} rows ({ra},{rb})");
             }
         }
     }

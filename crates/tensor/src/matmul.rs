@@ -262,18 +262,16 @@ pub(crate) fn gemm_rows_packed_b(
     }
 }
 
-/// True when the packed kernel is profitable (and not disabled); otherwise
-/// callers route to the scalar reference.
+/// True when a fused linear layer with `n` output features runs the packed
+/// kernel (and when a resident f32 pack is worth building for its weight);
+/// otherwise it runs the scalar reference.
 ///
-/// Public because batched execution must prove it takes the *same* kernel
-/// branch as the per-sample calls it replaces: stacking requests along the
-/// row axis grows `m`, and a batch that crosses this threshold while its
-/// constituents did not (or vice versa) would mix packed-FMA and scalar
-/// arithmetic — bit-different results. The serving batcher checks this
-/// predicate per linear layer and falls back to per-sample dispatch on the
-/// (degenerate, tiny-shape) mismatch case.
-pub fn packed_eligible(m: usize, k: usize, n: usize) -> bool {
-    simd::enabled() && n >= LANES && m * n * k >= 2048
+/// The test depends on the weight alone, never on the row count: a linear
+/// computes each output row from its own input row, so stacking samples
+/// along the row axis cannot change any value. The general [`gemm`]
+/// dispatch keeps its own size threshold.
+pub fn packed_eligible(n: usize) -> bool {
+    simd::enabled() && n >= LANES
 }
 
 #[allow(clippy::too_many_arguments)]

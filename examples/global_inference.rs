@@ -15,7 +15,7 @@ use orbit2_climate::{DownscalingDataset, LatLonGrid, Split, VariableSet};
 use orbit2_metrics::precip::log_precip_slice;
 use orbit2_metrics::regression::{r2_score, rmse};
 use orbit2_metrics::ssim::{psnr, ssim};
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 
 fn main() {
     let dataset = DownscalingDataset::new(
@@ -39,7 +39,7 @@ fn main() {
     let mut obs = Vec::new();
     let test_idx = dataset.indices(Split::Test);
     // One tape-free session for the whole evaluation loop.
-    let session = trainer.model.session();
+    let session = trainer.model.session_with(SessionPrecision::F32, SessionActivation::F32);
     for &i in &test_idx {
         let s = dataset.sample(i);
         let pred =

@@ -100,12 +100,18 @@ fn input(seed: u64) -> Tensor {
     randn(&[7, 16, 32], seed)
 }
 
-const TILES: TileSpec = TileSpec { tiles_y: 2, tiles_x: 2, halo: 2 };
+const TILES: TileSpec = TileSpec {
+    tiles_y: 2,
+    tiles_x: 2,
+    halo: 2,
+};
 
 fn tiled(input: &Tensor, factor: usize, mut run: impl FnMut(&Tensor) -> Tensor) -> Tensor {
     let (h, w) = (input.shape()[1], input.shape()[2]);
-    let preds: Vec<(TileGeometry, Tensor)> =
-        split_stack(input, TILES).into_iter().map(|(g, t)| (g, run(&t))).collect();
+    let preds: Vec<(TileGeometry, Tensor)> = split_stack(input, TILES)
+        .into_iter()
+        .map(|(g, t)| (g, run(&t)))
+        .collect();
     stitch_predictions(&preds, h, w, factor)
 }
 
@@ -141,11 +147,14 @@ fn compute() -> BTreeMap<String, Tensor> {
         out.insert(format!("reslim/{cell}/tiled2x2"), y);
         let preds = orbit2_model::forward_batch(&reslim, &s, &batch_refs, 2.0);
         for (i, (y, _)) in preds.into_iter().enumerate() {
-            out.insert(format!("reslim/{cell}/batch3_c2/{i}"), y);
+            out.insert(format!("reslim/{cell}/batch3_c2/{i}"), y.into_tensor());
         }
 
         let s = vit.session_with(wp, ap);
-        out.insert(format!("vit/{cell}/whole"), vit.forward(&s, &small).into_tensor());
+        out.insert(
+            format!("vit/{cell}/whole"),
+            vit.forward(&s, &small).into_tensor(),
+        );
         let y = tiled(&small, factor, |t| vit.forward(&s, t).into_tensor());
         out.insert(format!("vit/{cell}/tiled2x2"), y);
     }
@@ -169,7 +178,11 @@ fn load() -> Fixture {
 #[test]
 fn forward_outputs_match_golden_fixture() {
     let fixture = load();
-    let want = if simd::enabled() { &fixture.simd } else { &fixture.scalar };
+    let want = if simd::enabled() {
+        &fixture.simd
+    } else {
+        &fixture.scalar
+    };
     let got = compute();
     assert_eq!(
         got.keys().collect::<Vec<_>>(),
@@ -179,7 +192,11 @@ fn forward_outputs_match_golden_fixture() {
     for (name, t) in &got {
         let (g, w) = (entry(t), &want[name]);
         let tol = if name.contains("xbf16/") { 3e-2 } else { 1e-4 };
-        assert_eq!((g.len, g.stride), (w.len, w.stride), "{name}: shape changed");
+        assert_eq!(
+            (g.len, g.stride),
+            (w.len, w.stride),
+            "{name}: shape changed"
+        );
         assert!(
             (g.sum - w.sum).abs() <= tol * (1.0 + w.abs_sum),
             "{name} ({} mode): sum {} vs golden {}",
@@ -201,7 +218,11 @@ fn forward_outputs_match_golden_fixture() {
 
 #[test]
 fn b1_tape_node_count_is_pinned() {
-    assert_eq!(tape_nodes(), load().tape_nodes, "the B=1 forward's op sequence changed");
+    assert_eq!(
+        tape_nodes(),
+        load().tape_nodes,
+        "the B=1 forward's op sequence changed"
+    );
 }
 
 /// Writes this SIMD mode's entries into the fixture, keeping the other
@@ -218,7 +239,10 @@ fn record_fixture() {
             simd: BTreeMap::new(),
             scalar: BTreeMap::new(),
         });
-    let entries: BTreeMap<String, Entry> = compute().iter().map(|(k, t)| (k.clone(), entry(t))).collect();
+    let entries: BTreeMap<String, Entry> = compute()
+        .iter()
+        .map(|(k, t)| (k.clone(), entry(t)))
+        .collect();
     if simd::enabled() {
         fixture.simd = entries;
     } else {
@@ -227,5 +251,9 @@ fn record_fixture() {
     fixture.tape_nodes = tape_nodes();
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap() + "\n").unwrap();
+    std::fs::write(
+        &path,
+        serde_json::to_string_pretty(&fixture).unwrap() + "\n",
+    )
+    .unwrap();
 }

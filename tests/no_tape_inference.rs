@@ -7,14 +7,14 @@
 use orbit2_autograd::tape_constructions;
 use orbit2_climate::{DownscalingDataset, LatLonGrid, Normalizer, Split, VariableSet};
 use orbit2_imaging::tiles::TileSpec;
-use orbit2_model::{ModelConfig, ReslimModel};
+use orbit2_model::{ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 
 #[test]
 fn downscale_and_evaluate_build_zero_tapes() {
     let ds = DownscalingDataset::new(LatLonGrid::conus(16, 32), VariableSet::daymet_like(), 4, 8, 3);
     let model = ReslimModel::new(ModelConfig::tiny().with_channels(7, 3), 2);
     let norm = Normalizer::fit(&ds, 4);
-    let session = model.session();
+    let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
 
     let before = tape_constructions();
 

@@ -8,7 +8,7 @@ use orbit2::tiling::{split_stack, stitch_predictions};
 use orbit2_autograd::Tape;
 use orbit2_imaging::tiles::{TileGeometry, TileSpec};
 use orbit2_model::binder::Binder;
-use orbit2_model::{BaselineVit, ModelConfig, ReslimModel};
+use orbit2_model::{BaselineVit, ModelConfig, ReslimModel, SessionActivation, SessionPrecision};
 use orbit2_tensor::random::randn;
 use orbit2_tensor::Tensor;
 use proptest::prelude::*;
@@ -51,7 +51,7 @@ proptest! {
         let cfg = config(cfg_idx);
         let compression = [1.0f32, 2.0, 4.0][comp_idx];
         let model = ReslimModel::new(cfg, seed);
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         let input = randn(&[cfg.in_channels, 8, 16], seed + 1);
         let taped = taped_forward(&model, &input, compression);
         let free = model.forward(&session, &input, compression).0.into_tensor();
@@ -65,7 +65,7 @@ proptest! {
     ) {
         let cfg = config(cfg_idx);
         let model = BaselineVit::new(cfg, seed);
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         let input = randn(&[cfg.in_channels, 4, 8], seed + 1);
         let taped = {
             let tape = Tape::new();
@@ -87,7 +87,7 @@ proptest! {
         let spec = tile_spec(spec_idx);
         let compression = [1.0f32, 2.0][comp_idx];
         let model = ReslimModel::new(cfg, seed);
-        let session = model.session();
+        let session = model.session_with(SessionPrecision::F32, SessionActivation::F32);
         let input = randn(&[cfg.in_channels, 8, 16], seed + 2);
         let (h, w) = (input.shape()[1], input.shape()[2]);
         let tiles = split_stack(&input, spec);
